@@ -10,13 +10,9 @@ import repro.eval.{Constraints, Tables}
 class TableVBench extends BenchBase {
 
   test("Table V: speed-up over sequential execution") {
-    val battery = Seq(
-      Constraints.n4(50), Constraints.n5(50),
-      Constraints.t3(25, 1, 5), Constraints.t3(100, 1, 5),
-      Constraints.t2(25, 0, 5), Constraints.t2(100, 0, 5))
-    val table = Tables.tableV(spark, datasets, battery)
+    val table = Tables.tableV(spark, datasets)
     report("TableV", table)
     // Every row rendered (tableV asserts exact result agreement internally).
-    assert(table.linesIterator.size == battery.size + 1)
+    assert(table.linesIterator.size == Constraints.tableVBattery.size + 1)
   }
 }

@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.eval.{Constraints, Tables}
+import repro.eval.Tables
 
 /** Fig. 9-style comparison of NAIVE / SEMI-NAIVE / D-SEQ / D-CAND (run time,
   * shuffle size) recorded as a table.
@@ -9,11 +9,7 @@ import repro.eval.{Constraints, Tables}
 object Baselines extends JobBase {
   def main(args: Array[String]): Unit = withSpark("Baselines") { spark =>
     val ds = Tables.loadDatasets(spark)
-    val battery = Seq(
-      Constraints.n1(5), Constraints.n2(10), Constraints.n3(5),
-      Constraints.n4(50), Constraints.n5(50),
-      Constraints.a1(10), Constraints.a2(5), Constraints.a3(5), Constraints.a4(5))
     println("=== Baselines (Fig. 9 as a table): time and shuffle size ===")
-    println(Tables.baselinesTable(spark, ds, battery))
+    println(Tables.baselinesTable(spark, ds))
   }
 }

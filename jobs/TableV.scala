@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.eval.{Constraints, Tables}
+import repro.eval.Tables
 
 /** Regenerates Tab. V (speed-up over sequential DESQ-DFS).
   * `spark-submit --class repro.jobs.TableV <jar>`
@@ -8,11 +8,7 @@ import repro.eval.{Constraints, Tables}
 object TableV extends JobBase {
   def main(args: Array[String]): Unit = withSpark("TableV") { spark =>
     val ds = Tables.loadDatasets(spark)
-    val battery = Seq(
-      Constraints.n4(50), Constraints.n5(50),
-      Constraints.t3(25, 1, 5), Constraints.t3(100, 1, 5),
-      Constraints.t2(25, 0, 5), Constraints.t2(100, 0, 5))
     println("=== Table V: speed-up over sequential execution ===")
-    println(Tables.tableV(spark, ds, battery))
+    println(Tables.tableV(spark, ds))
   }
 }

@@ -23,16 +23,4 @@ object BruteForce {
     }
     counts.filter(_._2 >= sigma).toMap
   }
-
-  /** Per-sequence candidate counts — the CSPI statistic of Tab. IV.
-    * Returns (|Gσπ(T)|) for each T; 0 for unmatched sequences.
-    */
-  def candidateCounts(db: Seq[Array[Int]], fst: Fst, sigma: Long, dict: Dictionary,
-                      cap: Int = 1 << 20): Seq[Long] = {
-    val maxFid = dict.maxFrequentFid(sigma)
-    db.map { t =>
-      try FstSimulator.candidates(t, fst, dict, maxFid, cap).size.toLong
-      catch { case _: IllegalStateException => cap.toLong } // capped, reported as >= cap
-    }
-  }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.dict.Dictionary
-import repro.fst.{Fst, FstSimulator, Transition}
+import repro.fst.{Fst, FstSimulator}
 
 import scala.collection.mutable
 
@@ -11,8 +11,9 @@ import scala.collection.mutable
   * The search tree grows a prefix one output item at a time. Each node holds a
   * projected database of `(T, pos, state)` snapshots — FST simulations of `T`
   * that have produced exactly the node's prefix and stand at `pos`/`state`.
-  * A prefix is a complete candidate for `T` if some snapshot can consume the
-  * rest of `T` producing only ε (precomputed per `(pos, state)`).
+  * Snapshots move along the edges of `T`'s [[FstSimulator.Product]]. A prefix
+  * is a complete candidate for `T` if some snapshot can consume the rest of
+  * `T` producing only ε (precomputed per `(pos, state)`).
   *
   * With `pivot = Some(k)` the miner runs D-SEQ's restricted local mining:
   * prefixes use only items `<= k`, only sequences containing `k` are emitted,
@@ -42,30 +43,50 @@ object DesqDfs {
     val n = db.length
     if (n == 0) return Map.empty
     val itemCap = pivot.fold(maxFid)(k => math.min(k, maxFid))
+    val pivotItem = pivot.getOrElse(0)
 
     // Per-sequence precomputation.
-    val seqs = new Array[Array[Int]](n)
     val weights = new Array[Long](n)
-    val reach = new Array[Array[Array[Boolean]]](n)
-    val epsReach = new Array[Array[Array[Boolean]]](n)
+    val products = new Array[FstSimulator.Product](n)
+    val epsReach = new Array[Array[Boolean]](n)
     val lastPivotPos = Array.fill(n)(Int.MaxValue)
+    val nq = fst.numStates
 
-    var maxLen = 0
+    require(nq <= 1024, "entry encoding supports at most 1024 FST states")
     var tid = 0
     while (tid < n) {
       val (t, w) = db(tid)
-      seqs(tid) = t; weights(tid) = w
-      maxLen = math.max(maxLen, t.length)
-      reach(tid) = FstSimulator.reachFinal(t, fst, dict)
-      epsReach(tid) = epsilonReach(t, fst, dict)
-      pivot.foreach { k =>
-        if (earlyStop) lastPivotPos(tid) = lastPositionProducing(t, k, fst, dict, reach(tid))
+      weights(tid) = w
+      require(t.length < (1 << 21), "entry encoding supports sequences up to 2^21 items")
+      val p = FstSimulator.product(t, fst, dict)
+      products(tid) = p
+      // One backward pass over the edges. epsReach(i * nq + q): can the FST
+      // consume t(i+1..n) from q, reach a final state and output only ε along
+      // the way? (Exact on the grid states of the product, the only ones
+      // looked up.) lastPivotPos: the last position at which an edge can
+      // output the pivot — the early-stopping cutoff.
+      val er = new Array[Boolean]((t.length + 1) * nq)
+      for (q <- 0 until nq) er(t.length * nq + q) = fst.isFinal(q)
+      var e = p.numEdges - 1
+      var i = t.length - 1
+      while (e >= 0) {
+        while (e < p.edgeStart(i, 0)) i -= 1
+        val tr = p.trans(e)
+        val outs = p.out(e)
+        if (outs.length == 1 && outs(0) == 0 && er((i + 1) * nq + tr.to)) er(i * nq + tr.from) = true
+        if (earlyStop && pivotItem > 0 && lastPivotPos(tid) == Int.MaxValue &&
+            java.util.Arrays.binarySearch(outs, pivotItem) >= 0) lastPivotPos(tid) = i
+        e -= 1
       }
+      epsReach(tid) = er
       tid += 1
     }
+    // marks(i * nq + q) == stamp: grid state visited by the current ε-closure.
+    // Closures run one tid at a time, so one array serves all sequences and a
+    // new stamp clears it.
+    val marks = new Array[Int](epsReach.iterator.map(_.length).max)
+    var stamp = 0
 
-    require(fst.numStates <= 1024, "entry encoding supports at most 1024 FST states")
-    require(maxLen < (1 << 21), "entry encoding supports sequences up to 2^21 items")
     @inline def enc(tid: Int, pos: Int, q: Int): Long = (tid.toLong << 31) | (pos.toLong << 10) | q
     @inline def decTid(e: Long): Int = (e >>> 31).toInt
     @inline def decPos(e: Long): Int = ((e >>> 10) & 0x1FFFFF).toInt
@@ -76,48 +97,56 @@ object DesqDfs {
 
     /** Expand the node with the given projected database entries. */
     def expand(entries: Array[Long], hasPivot: Boolean): Unit = {
-      // item -> child entries (deduplicated, in tid order since we process
-      // parent entries in tid order)
+      // item -> child entries, in tid order since we process parent entries
+      // in tid order. An entry may occur twice; the child's ε-closure and
+      // support count see each grid state of a tid once.
       val children = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Long]]
-      val seen = mutable.HashSet.empty[(Int, Long)] // (item, entry) dedup
       var lastDfsTid = -1
-      var visited: mutable.HashSet[Int] = null // ε-DFS memo per tid: pos<<10|q
+      var work = new Array[Int](16) // ε-closure work list of pos<<10|q keys
+      var top = 0
+      def push(i: Int, q: Int): Unit = if (marks(i * nq + q) != stamp) {
+        marks(i * nq + q) = stamp
+        if (top == work.length) work = java.util.Arrays.copyOf(work, 2 * top)
+        work(top) = (i << 10) | q
+        top += 1
+      }
 
       var ei = 0
       while (ei < entries.length) {
         val e = entries(ei)
         val etid = decTid(e)
-        if (etid != lastDfsTid) { visited = mutable.HashSet.empty[Int]; lastDfsTid = etid }
+        if (etid != lastDfsTid) { stamp += 1; lastDfsTid = etid }
         val skip = !hasPivot && pivot.isDefined && earlyStop && decPos(e) > lastPivotPos(etid)
-        if (!skip) dfs(etid, decPos(e), decQ(e))
+        if (!skip) closure(etid, decPos(e), decQ(e))
         ei += 1
       }
 
-      def dfs(tid: Int, i: Int, q: Int): Unit = {
-        val key = (i << 10) | q
-        if (!visited.add(key)) return
-        val t = seqs(tid)
-        if (i >= t.length) return
-        val item = t(i)
-        val ts = fst.byState(q)
-        var j = 0
-        while (j < ts.length) {
-          val tr = ts(j)
-          if (tr.in.matches(item, dict) && reach(tid)(i + 1)(tr.to)) {
-            val outs = tr.out.outputs(item, dict)
-            var oi = 0
-            while (oi < outs.length) {
-              val w = outs(oi)
-              if (w == 0) dfs(tid, i + 1, tr.to)
-              else if (w <= itemCap) {
-                val child = enc(tid, i + 1, tr.to)
-                if (seen.add((w, child)))
-                  children.getOrElseUpdate(w, mutable.ArrayBuffer.empty) += child
+      /** Follow ε-output edges from `(i, q)` and record every child snapshot
+        * reached by one non-ε output item.
+        */
+      def closure(tid: Int, i0: Int, q0: Int): Unit = {
+        val p = products(tid)
+        push(i0, q0)
+        while (top > 0) {
+          top -= 1
+          val i = work(top) >>> 10
+          val q = work(top) & 0x3FF
+          if (i < p.length) {
+            var e = p.edgeStart(i, q)
+            while (e < p.edgeStart(i, q + 1)) {
+              val to = p.trans(e).to
+              val outs = p.out(e)
+              var oi = 0
+              while (oi < outs.length) {
+                val w = outs(oi)
+                if (w == 0) push(i + 1, to)
+                else if (w <= itemCap)
+                  children.getOrElseUpdate(w, mutable.ArrayBuffer.empty) += enc(tid, i + 1, to)
+                oi += 1
               }
-              oi += 1
+              e += 1
             }
           }
-          j += 1
         }
       }
 
@@ -132,7 +161,7 @@ object DesqDfs {
           val e = buf(bi)
           val t = decTid(e)
           if (t != lastTid) { bound += weights(t); lastTid = t; counted = false }
-          if (!counted && epsReach(t)(decPos(e))(decQ(e))) { support += weights(t); counted = true }
+          if (!counted && epsReach(t)(decPos(e) * nq + decQ(e))) { support += weights(t); counted = true }
           bi += 1
         }
         if (bound >= sigma) {
@@ -149,68 +178,5 @@ object DesqDfs {
     val root = Array.tabulate(n)(tid => enc(tid, 0, fst.initial))
     expand(root, hasPivot = false)
     results.toMap
-  }
-
-  /** `epsReach(i)(q)` — can the FST consume `t(i+1..n)` from `q`, reach a
-    * final state, and output only ε along the way?
-    */
-  private def epsilonReach(t: Array[Int], fst: Fst, dict: Dictionary): Array[Array[Boolean]] = {
-    val n = t.length
-    val er = Array.ofDim[Boolean](n + 1, fst.numStates)
-    for (q <- 0 until fst.numStates) er(n)(q) = fst.isFinal(q)
-    var i = n - 1
-    while (i >= 0) {
-      val item = t(i)
-      var q = 0
-      while (q < fst.numStates) {
-        val ts = fst.byState(q)
-        var j = 0
-        var ok = false
-        while (!ok && j < ts.length) {
-          val tr = ts(j)
-          if (canOutputEps(tr) && tr.in.matches(item, dict) && er(i + 1)(tr.to)) ok = true
-          j += 1
-        }
-        er(i)(q) = ok
-        q += 1
-      }
-      i -= 1
-    }
-    er
-  }
-
-  private def canOutputEps(tr: Transition): Boolean = tr.out == repro.fst.OutOp.EpsOut
-
-  /** Last 0-based position of `t` at which some transition on an accepting run
-    * can output item `k` — the early-stopping cutoff.
-    */
-  private def lastPositionProducing(
-      t: Array[Int], k: Int, fst: Fst, dict: Dictionary,
-      reach: Array[Array[Boolean]]
-  ): Int = {
-    val fwd = FstSimulator.forwardReach(t, fst, dict)
-    var last = -1
-    var i = 0
-    while (i < t.length) {
-      val item = t(i)
-      var q = 0
-      var found = false
-      while (!found && q < fst.numStates) {
-        if (fwd(i)(q)) {
-          val ts = fst.byState(q)
-          var j = 0
-          while (!found && j < ts.length) {
-            val tr = ts(j)
-            if (tr.in.matches(item, dict) && reach(i + 1)(tr.to) &&
-                tr.out.outputs(item, dict).contains(k)) found = true
-            j += 1
-          }
-        }
-        q += 1
-      }
-      if (found) last = i
-      i += 1
-    }
-    if (last < 0) Int.MaxValue else last // no producing position: disable skip
   }
 }

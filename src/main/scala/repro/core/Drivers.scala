@@ -28,14 +28,13 @@ object Drivers {
       patex: String,
       sigma: Long,
       rewrite: Boolean = true,
-      earlyStop: Boolean = true,
-      numPartitions: Int = -1
+      earlyStop: Boolean = true
   ): RDD[(Pattern, Long)] = {
     val fst = FstCompiler.compile(patex, dict)
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
-    val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
+    val parts = sc.defaultParallelism
     sequences
       .flatMap { t =>
         val g = PivotSearch.grid(t, bcFst.value, bcDict.value, maxFid)
@@ -65,19 +64,16 @@ object Drivers {
       patex: String,
       sigma: Long,
       aggregate: Boolean = true,
-      minimizeNfas: Boolean = true,
-      maxRuns: Int = 1 << 20,
-      numPartitions: Int = -1
+      minimizeNfas: Boolean = true
   ): RDD[(Pattern, Long)] = {
     val fst = FstCompiler.compile(patex, dict)
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
-    val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
+    val parts = sc.defaultParallelism
 
     val perSeq = sequences.flatMap { t =>
-      Nfa.buildForSequence(t, bcFst.value, bcDict.value, maxFid, maxRuns,
-                           minimize = minimizeNfas)
+      Nfa.buildForSequence(t, bcFst.value, bcDict.value, maxFid, minimize = minimizeNfas)
         .iterator.map { case (k, nfa) => ((k, NfaSerializer.serialize(nfa)), 1L) }
     }
     val weighted =

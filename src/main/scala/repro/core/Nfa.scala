@@ -116,18 +116,18 @@ object Nfa {
     new Nfa(isFinal, edges.map(_.iterator.map { case (l, t) => (l.toArray, t) }.toArray))
   }
 
-  /** Build the per-pivot NFAs for input sequence `t` (Sec. VI-A): simulate the
-    * FST, insert each accepting run into the tries of its pivots `K(r)` with
-    * items `> k` and infrequent items dropped, then minimize each trie.
+  /** Build the per-pivot NFAs for input sequence `t` (Sec. VI-A): walk the
+    * accepting runs of its [[FstSimulator.Product]], insert each run into the
+    * tries of its pivots `K(r)` with items `> k` and infrequent items dropped,
+    * then minimize each trie.
     *
     * @return map pivot -> minimized NFA; empty if `t` has no accepting run.
     */
   def buildForSequence(
-      t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int,
-      maxRuns: Int = 1 << 20, minimize: Boolean = true
+      t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int, minimize: Boolean = true
   ): Map[Int, Nfa] = {
     val tries = mutable.HashMap.empty[Int, Trie]
-    FstSimulator.foreachAcceptingRun(t, fst, dict, maxRuns) { run =>
+    FstSimulator.product(t, fst, dict).foreachRun { run =>
       val pivots = PivotSearch.pivotsOfRun(run, maxFid)
       for (k <- pivots) {
         // Non-ε output sets restricted to frequent items <= k; no set can end

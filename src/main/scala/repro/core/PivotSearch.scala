@@ -63,14 +63,11 @@ object PivotSearch {
     * @param stateChange   per position: does any surviving grid edge change state?
     * @param minOutput     per position: smallest frequent non-ε item producible
     *                      by any surviving grid edge (Int.MaxValue if none)
-    * @param pivotPositions per pivot k: sorted positions at which some surviving
-    *                      grid edge can output k (for D-SEQ's early stopping)
     */
   final case class GridResult(
       pivots: Array[Int],
       stateChange: Array[Boolean],
-      minOutput: Array[Int],
-      pivotPositions: Map[Int, Array[Int]]
+      minOutput: Array[Int]
   ) {
     /** First/last relevant position for pivot `k` (Sec. V-B): relevant means
       * state-changing or able to produce output usable in a pivot-k sequence.
@@ -85,9 +82,10 @@ object PivotSearch {
     }
   }
 
-  /** Run the position–state grid DP (Fig. 5b) for sequence `t`:
-    * compute `K(i, q)` for all grid coordinates on accepting runs and derive
-    * `K(T)`, per-position relevance data, and pivot output positions.
+  /** Run the position–state grid DP (Fig. 5b) for sequence `t`: fold `⊕` over
+    * the edges of its [[FstSimulator.Product]] to get `K(i, q)` for every grid
+    * coordinate on an accepting run, and derive `K(T)` and the per-position
+    * relevance data of the rewrite.
     *
     * `maxFid` is the largest frequent fid (σ boundary); items above it are
     * excluded from output sets, runs forced through an all-infrequent output
@@ -95,61 +93,47 @@ object PivotSearch {
     */
   def grid(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): GridResult = {
     val n = t.length
-    val reach = FstSimulator.reachFinal(t, fst, dict)
-    // K(i)(q): pivot set of surviving partial runs ending at (i, q); null = none.
-    val K = Array.ofDim[Array[Int]](n + 1, fst.numStates)
-    if (reach(0)(fst.initial)) K(0)(fst.initial) = Array(0)
+    val p = FstSimulator.product(t, fst, dict)
+    // K(q) at the current / next position: pivot set of the surviving partial
+    // runs ending there; null = none.
+    var kCur = new Array[Array[Int]](fst.numStates)
+    if (p.accepting) kCur(fst.initial) = Array(0)
 
     val stateChange = new Array[Boolean](n)
     val minOutput = Array.fill(n)(Int.MaxValue)
-    val pivotPos = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
 
     var i = 0
     while (i < n) {
-      val item = t(i)
-      var q = 0
-      while (q < fst.numStates) {
-        val kPrev = K(i)(q)
+      val kNext = new Array[Array[Int]](fst.numStates)
+      for (e <- p.edgesAt(i)) {
+        val tr = p.trans(e)
+        val kPrev = kCur(tr.from)
         if (kPrev != null) {
-          for (tr <- fst.byState(q)) {
-            if (tr.in.matches(item, dict) && reach(i + 1)(tr.to)) {
-              val o = filterFrequent(tr.out.outputs(item, dict), maxFid)
-              if (o.nonEmpty) {
-                val merged = oplus(kPrev, o)
-                val prev = K(i + 1)(tr.to)
-                K(i + 1)(tr.to) = if (prev == null) merged else mergeDistinct(prev, merged)
-                // Relevance bookkeeping for the rewrite (Sec. V-B).
-                if (tr.to != q) stateChange(i) = true
-                val firstNonEps = if (o(0) == 0) { if (o.length > 1) o(1) else 0 } else o(0)
-                if (firstNonEps != 0 && firstNonEps < minOutput(i))
-                  minOutput(i) = firstNonEps
-                var j = 0
-                while (j < o.length) {
-                  if (o(j) != 0)
-                    pivotPos.getOrElseUpdate(o(j), mutable.ArrayBuffer.empty) += i
-                  j += 1
-                }
-              }
-            }
+          val o = filterFrequent(p.out(e), maxFid)
+          if (o.nonEmpty) {
+            val merged = oplus(kPrev, o)
+            val prev = kNext(tr.to)
+            kNext(tr.to) = if (prev == null) merged else mergeDistinct(prev, merged)
+            // Relevance bookkeeping for the rewrite (Sec. V-B).
+            if (tr.to != tr.from) stateChange(i) = true
+            val firstNonEps = if (o(0) == 0) { if (o.length > 1) o(1) else 0 } else o(0)
+            if (firstNonEps != 0 && firstNonEps < minOutput(i))
+              minOutput(i) = firstNonEps
           }
         }
-        q += 1
       }
+      kCur = kNext
       i += 1
     }
 
     var pivots: Array[Int] = Array.empty
     var q = 0
     while (q < fst.numStates) {
-      if (fst.isFinal(q) && K(n)(q) != null)
-        pivots = mergeDistinct(pivots, K(n)(q))
+      if (fst.isFinal(q) && kCur(q) != null)
+        pivots = mergeDistinct(pivots, kCur(q))
       q += 1
     }
-    pivots = pivots.filter(_ != 0)
-    val pp = pivots.iterator.map { k =>
-      k -> pivotPos.getOrElse(k, mutable.ArrayBuffer.empty).distinct.sorted.toArray
-    }.toMap
-    GridResult(pivots, stateChange, minOutput, pp)
+    GridResult(pivots.filter(_ != 0), stateChange, minOutput)
   }
 
   /** `K(T)` — the pivot items of `t` (Eq. 1), σ-filtered. */

@@ -51,11 +51,22 @@ object Constraints {
     Constraint(s"T3($sigma,$gamma,$lambda)", dataset,
       s"(.^)[.{0,$gamma}(.^)]{1,${lambda - 1}}", sigma, "LASH: length, gap, hierarchy")
 
-  /** The Tab. III / Tab. IV battery at container scale. */
-  def tableIVBattery: Seq[Constraint] = Seq(
+  /** The Fig. 9 battery: NAIVE / SEMI-NAIVE / D-SEQ / D-CAND baselines. */
+  def baselinesBattery: Seq[Constraint] = Seq(
     n1(5), n2(10), n3(5), n4(50), n5(50),
-    a1(10), a2(5), a3(5), a4(5),
+    a1(10), a2(5), a3(5), a4(5)
+  )
+
+  /** The Tab. III / Tab. IV battery at container scale. */
+  def tableIVBattery: Seq[Constraint] = baselinesBattery ++ Seq(
     t3(25, 1, 5), t3(5, 1, 5),
     t1(200, 5), t1(50, 5)
+  )
+
+  /** The Tab. V battery: speed-up over sequential DESQ-DFS. */
+  def tableVBattery: Seq[Constraint] = Seq(
+    n4(50), n5(50),
+    t3(25, 1, 5), t3(100, 1, 5),
+    t2(25, 0, 5), t2(100, 0, 5)
   )
 }

@@ -111,9 +111,8 @@ object Tables {
   /** Tab. V: run time of sequential DESQ-DFS (1 thread, on the driver) vs
     * D-SEQ and D-CAND on `local[*]`, with speed-ups.
     */
-  def tableV(spark: SparkSession, ds: Datasets,
-             battery: Seq[Constraints.Constraint]): String = {
-    val rows = battery.map { c =>
+  def tableV(spark: SparkSession, ds: Datasets): String = {
+    val rows = Constraints.tableVBattery.map { c =>
       val db = ds(c.dataset)
       val local = db.sequences.collect().toIndexedSeq
 
@@ -173,10 +172,9 @@ object Tables {
   /** NAIVE / SEMI-NAIVE / D-SEQ / D-CAND run time and shuffle size (the
     * paper's Fig. 9, recorded as a table).
     */
-  def baselinesTable(spark: SparkSession, ds: Datasets,
-                     battery: Seq[Constraints.Constraint], naiveCap: Int = 200000): String = {
+  def baselinesTable(spark: SparkSession, ds: Datasets, naiveCap: Int = 200000): String = {
     val algos = Seq("NAIVE", "SEMI-NAIVE", "D-SEQ", "D-CAND")
-    val rows = battery.flatMap { c =>
+    val rows = Constraints.baselinesBattery.flatMap { c =>
       val db = ds(c.dataset)
       algos.map { algo =>
         val res =

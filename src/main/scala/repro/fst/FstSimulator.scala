@@ -2,10 +2,16 @@ package repro.fst
 
 import repro.dict.Dictionary
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
-/** FST simulation: reachability DPs, accepting-run enumeration and candidate
-  * generation `Gπ(T)` (Sec. IV of the paper).
+/** FST simulation over the position × state grid of an input sequence
+  * (Sec. IV of the paper).
+  *
+  * [[Product]] is the kernel every miner works on: pivot search, DESQ-DFS and
+  * the D-CAND NFA construction. `reachFinal`, `foreachAcceptingRun` and
+  * `candidates` are the reference enumeration: separate code that the
+  * brute-force miner, NAIVE / SEMI-NAIVE, Tab. IV and the tests use.
   *
   * All methods work on fid-encoded sequences. Output sets are sorted
   * `Array[Int]` with fid 0 = ε.
@@ -16,6 +22,113 @@ object FstSimulator {
     * entry per input position (ε-only sets included).
     */
   type Run = IndexedSeq[Array[Int]]
+
+  /** Most accepting runs one sequence may have before enumeration gives up. */
+  private val MaxRuns = 1 << 20
+
+  /** The surviving edges of the position × state grid of one input sequence
+    * (Fig. 5): edge `e` consumes `t(i)` with transition `trans(e)`, produces
+    * one item of `out(e)`, and lies on some accepting run of `t`. The edges
+    * leaving grid state `(i, q)` are `edgeStart(i, q) until edgeStart(i, q + 1)`,
+    * in `fst.byState(q)` order — the order in which `foreachAcceptingRun`
+    * tries them.
+    */
+  final class Product private[FstSimulator] (
+      val fst: Fst,
+      val length: Int,
+      val accepting: Boolean, // does `t` have an accepting run at all?
+      start: Array[Int],
+      val trans: Array[Transition],
+      val out: Array[Array[Int]]
+  ) {
+    def numEdges: Int = trans.length
+    def edgeStart(i: Int, q: Int): Int = start(i * fst.numStates + q)
+    def edgesAt(i: Int): Range = edgeStart(i, 0) until edgeStart(i + 1, 0)
+
+    /** Stream the accepting runs to `f` in `foreachAcceptingRun` order, with an
+      * explicit stack so that no sequence is too long for the call stack.
+      * More than `MaxRuns` runs raise an IllegalStateException.
+      */
+    def foreachRun(f: Run => Unit): Unit = if (accepting) {
+      val chosen = new Array[Int](length) // edge taken at each position
+      val cur = new Array[Array[Int]](length)
+      var count = 0
+      var i = 0
+      var e = if (length == 0) 0 else edgeStart(0, fst.initial) // next edge to try at i
+      while (i >= 0) {
+        val q = if (i == 0) fst.initial else trans(chosen(i - 1)).to
+        if (i < length && e < edgeStart(i, q + 1)) {
+          chosen(i) = e
+          cur(i) = out(e)
+          i += 1
+          if (i < length) e = edgeStart(i, trans(e).to)
+        } else {
+          if (i == length) {
+            count += 1
+            if (count > MaxRuns) throw new IllegalStateException(s"more than $MaxRuns accepting runs")
+            f(ArraySeq.unsafeWrapArray(cur.clone()))
+          }
+          i -= 1
+          if (i >= 0) e = chosen(i) + 1
+        }
+      }
+    }
+  }
+
+  /** Build the [[Product]] of `t`: a backward pass marks the grid states from
+    * which the rest of `t` can be consumed into a final state, then a forward
+    * sweep from the initial state keeps the edges into marked states. This is
+    * the only place the miners evaluate input predicates and output functions.
+    */
+  def product(t: Array[Int], fst: Fst, dict: Dictionary): Product = {
+    val n = t.length
+    val nq = fst.numStates
+    val reach = new Array[Boolean]((n + 1) * nq) // grid state (i, q) at i * nq + q
+    def viable(i: Int, tr: Transition) = reach((i + 1) * nq + tr.to) && tr.in.matches(t(i), dict)
+    for (q <- 0 until nq) reach(n * nq + q) = fst.isFinal(q)
+    var i = n - 1
+    while (i >= 0) {
+      var q = 0
+      while (q < nq) {
+        val ts = fst.byState(q)
+        var j = 0
+        while (j < ts.length && !reach(i * nq + q)) { reach(i * nq + q) = viable(i, ts(j)); j += 1 }
+        q += 1
+      }
+      i -= 1
+    }
+    val fwd = new Array[Boolean]((n + 1) * nq)
+    fwd(fst.initial) = reach(fst.initial)
+    val start = new Array[Int](n * nq + 1)
+    val trans = new Array[Transition](n * fst.numTransitions) // at most |Δ| edges per position
+    val out = new Array[Array[Int]](trans.length)
+    var m = 0
+    i = 0
+    while (i < n) {
+      var q = 0
+      while (q < nq) {
+        start(i * nq + q) = m
+        if (fwd(i * nq + q)) {
+          val ts = fst.byState(q)
+          var j = 0
+          while (j < ts.length) {
+            val tr = ts(j)
+            if (viable(i, tr)) {
+              trans(m) = tr
+              out(m) = tr.out.outputs(t(i), dict)
+              m += 1
+              fwd((i + 1) * nq + tr.to) = true
+            }
+            j += 1
+          }
+        }
+        q += 1
+      }
+      i += 1
+    }
+    start(n * nq) = m
+    new Product(fst, n, reach(fst.initial), start, java.util.Arrays.copyOf(trans, m), java.util.Arrays.copyOf(out, m))
+  }
 
   /** `reach(i)(q)` — can the FST consume `t(i+1..n)` starting in state `q` and
     * end in a final state? Backward DP, O(|T|·|Δ|). Index `i` ranges 0..n.
@@ -45,41 +158,13 @@ object FstSimulator {
     reach
   }
 
-  /** `fwd(i)(q)` — can the FST consume `t(1..i)` from the initial state and be
-    * in state `q`? Forward DP, O(|T|·|Δ|).
-    */
-  def forwardReach(t: Array[Int], fst: Fst, dict: Dictionary): Array[Array[Boolean]] = {
-    val n = t.length
-    val fwd = Array.ofDim[Boolean](n + 1, fst.numStates)
-    fwd(0)(fst.initial) = true
-    var i = 0
-    while (i < n) {
-      val item = t(i)
-      var q = 0
-      while (q < fst.numStates) {
-        if (fwd(i)(q)) {
-          val ts = fst.byState(q)
-          var j = 0
-          while (j < ts.length) {
-            val tr = ts(j)
-            if (tr.in.matches(item, dict)) fwd(i + 1)(tr.to) = true
-            j += 1
-          }
-        }
-        q += 1
-      }
-      i += 1
-    }
-    fwd
-  }
-
   /** Stream all accepting runs of `t` (as sequences of output sets) to `f`
     * without materializing them. Exponential in general — `maxRuns` guards
-    * against blow-up (the paper's naive/D-CAND OOM cases surface here as an
-    * IllegalStateException).
+    * against blow-up (the paper's NAIVE OOM cases surface here, and D-CAND's
+    * in `Product.foreachRun`, as an IllegalStateException).
     */
   def foreachAcceptingRun(t: Array[Int], fst: Fst, dict: Dictionary,
-                          maxRuns: Int = 1 << 20)(f: Run => Unit): Unit = {
+                          maxRuns: Int = MaxRuns)(f: Run => Unit): Unit = {
     val n = t.length
     val reach = reachFinal(t, fst, dict)
     var count = 0
@@ -107,7 +192,7 @@ object FstSimulator {
 
   /** All accepting runs, materialized — for tests and small inputs. */
   def acceptingRuns(t: Array[Int], fst: Fst, dict: Dictionary,
-                    maxRuns: Int = 1 << 20): Seq[Run] = {
+                    maxRuns: Int = MaxRuns): Seq[Run] = {
     val out = mutable.ArrayBuffer.empty[Run]
     foreachAcceptingRun(t, fst, dict, maxRuns)(out += _)
     out.toSeq
