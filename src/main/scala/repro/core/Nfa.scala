@@ -3,6 +3,7 @@ package repro.core
 import repro.dict.Dictionary
 import repro.fst.{Fst, FstSimulator}
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** NFA over output sets, used by D-CAND to represent `ρk(T)` — the candidate
@@ -38,110 +39,186 @@ final class Nfa(
 
 object Nfa {
 
-  /** Mutable trie of output-set sequences; inserts dedupe shared prefixes. */
-  final class Trie {
-    final class Node {
-      val children = mutable.LinkedHashMap.empty[List[Int], Node] // label -> child
-      var isFinal = false
-    }
-    val root = new Node
-
-    def insert(run: Seq[Array[Int]]): Unit = {
-      var cur = root
-      for (set <- run)
-        cur = cur.children.getOrElseUpdate(set.toList, new Node)
-      cur.isFinal = true
-    }
-
-    /** Number the nodes (root = 0, BFS order) and freeze into an [[Nfa]]. */
-    def toNfa: Nfa = {
-      val nodes = mutable.ArrayBuffer.empty[Node]
-      val id = mutable.HashMap.empty[Node, Int]
-      def visit(n: Node): Int = id.getOrElseUpdate(n, { nodes += n; nodes.length - 1 })
-      visit(root)
-      var i = 0
-      while (i < nodes.length) {
-        nodes(i).children.values.foreach(visit)
-        i += 1
-      }
-      new Nfa(
-        nodes.map(_.isFinal).toArray,
-        nodes.map(n => n.children.iterator.map { case (l, c) => (l.toArray, id(c)) }.toArray).toArray
-      )
-    }
-  }
-
-  /** Revuz-style minimization of an acyclic NFA (the trie): merge states with
-    * identical (finality, outgoing transition multiset) bottom-up, children
-    * first, so equivalent suffixes collapse. Linear in the trie size. The
-    * result accepts exactly the same language.
+  /** Revuz-style minimization of an acyclic NFA: bottom-up, children first,
+    * merge states with the same finality and the same edge list (label,
+    * merged target) in the same order, so equivalent suffixes collapse. Linear
+    * in the NFA size. The result accepts exactly the same language; on the
+    * label-sorted DFAs of [[buildForSequence]] it is the minimal DFA.
     */
   def minimize(nfa: Nfa): Nfa = {
     val n = nfa.numStates
-    // topological order (the trie/DAG has edges from lower to unknown ids;
-    // compute heights via DFS)
+    // DFS post-order, children before parents, with an explicit stack of
+    // (state, next edge) so that no NFA is too deep for the call stack.
     val order = {
-      val state = new Array[Byte](n)
-      val out = mutable.ArrayBuffer.empty[Int]
-      def visit(q: Int): Unit = {
-        if (state(q) != 0) return
-        state(q) = 1
-        for ((_, t) <- nfa.edges(q)) visit(t)
-        state(q) = 2
-        out += q
+      val seen = new Array[Boolean](n)
+      val out = new mutable.ArrayBuilder.ofInt
+      val stack = new Array[Int](n)
+      val next = new Array[Int](n)
+      for (root <- 0 until n if !seen(root)) {
+        seen(root) = true
+        stack(0) = root; next(0) = 0
+        var top = 0
+        while (top >= 0) {
+          val q = stack(top)
+          if (next(top) < nfa.edges(q).length) {
+            val t = nfa.edges(q)(next(top))._2
+            next(top) += 1
+            if (!seen(t)) { seen(t) = true; top += 1; stack(top) = t; next(top) = 0 }
+          } else { out += q; top -= 1 }
+        }
       }
-      visit(0)
-      (0 until n).foreach(visit)
-      out.toArray // children before parents
+      out.result()
     }
     val canon = Array.tabulate(n)(identity)
-    val bySig = mutable.HashMap.empty[(Boolean, Set[(List[Int], Int)]), Int]
+    val bySig = mutable.HashMap.empty[Seq[Int], Int]
     for (q <- order) {
-      val sig = (nfa.isFinal(q),
-        nfa.edges(q).iterator.map { case (l, t) => (l.toList, canon(t)) }.toSet)
-      canon(q) = bySig.getOrElseUpdate(sig, q)
+      val sig = new mutable.ArrayBuilder.ofInt // finality, then (|label|, label, target) per edge
+      sig += (if (nfa.isFinal(q)) 1 else 0)
+      for ((l, t) <- nfa.edges(q)) { sig += l.length; sig ++= l; sig += canon(t) }
+      canon(q) = bySig.getOrElseUpdate(ArraySeq.unsafeWrapArray(sig.result()), q)
     }
     // Renumber surviving states; root first.
-    val keep = (0 until n).filter(q => canon(q) == q)
-    val newId = mutable.HashMap.empty[Int, Int]
-    newId(canon(0)) = 0
-    for (q <- keep if !newId.contains(q)) newId(q) = newId.size
-    val isFinal = new Array[Boolean](newId.size)
-    val edges = Array.fill(newId.size)(mutable.LinkedHashSet.empty[(List[Int], Int)])
-    for (q <- keep) {
-      val nq = newId(q)
-      isFinal(nq) = nfa.isFinal(q)
-      for ((l, t) <- nfa.edges(q)) edges(nq) += ((l.toList, newId(canon(t))))
-    }
-    new Nfa(isFinal, edges.map(_.iterator.map { case (l, t) => (l.toArray, t) }.toArray))
+    val keep = canon(0) +: (0 until n).filter(q => canon(q) == q && q != canon(0))
+    val newId = new Array[Int](n)
+    for ((q, i) <- keep.zipWithIndex) newId(q) = i
+    new Nfa(keep.map(nfa.isFinal).toArray,
+      keep.map(q => nfa.edges(q).map { case (l, t) => (l, newId(canon(t))) }).toArray)
   }
 
-  /** Build the per-pivot NFAs for input sequence `t` (Sec. VI-A): walk the
-    * accepting runs of its [[FstSimulator.Product]], insert each run into the
-    * tries of its pivots `K(r)` with items `> k` and infrequent items dropped,
-    * then minimize each trie.
+  /** Most DFA states of one (sequence, pivot) NFA; more raise an IllegalStateException. */
+  private val MaxStates = 1 << 16
+
+  private val byLabel = Ordering.fromLessThan[Array[Int]](java.util.Arrays.compare(_, _) < 0)
+
+  /** Build the per-pivot NFAs for input sequence `t` (Sec. VI-A): one
+    * [[FstSimulator.Product]], `K(T)` from its pivot grid, then one subset
+    * construction per pivot `k` (see [[PivotDfa]]), minimized.
     *
-    * @return map pivot -> minimized NFA; empty if `t` has no accepting run.
+    * @return map pivot -> NFA; empty if `t` has no accepting run.
     */
   def buildForSequence(
       t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int, minimize: Boolean = true
   ): Map[Int, Nfa] = {
-    val tries = mutable.HashMap.empty[Int, Trie]
-    FstSimulator.product(t, fst, dict).foreachRun { run =>
-      val pivots = PivotSearch.pivotsOfRun(run, maxFid)
-      for (k <- pivots) {
-        // Non-ε output sets restricted to frequent items <= k; no set can end
-        // up empty (k ∈ K(r) implies every set has a frequent item <= k).
-        val restricted = run.iterator
-          .filter(os => !(os.length == 1 && os(0) == 0))
-          .map(_.filter(w => w != 0 && w <= k && w <= maxFid))
-          .toSeq
-        tries.getOrElseUpdate(k, new Trie).insert(restricted)
+    val p = FstSimulator.product(t, fst, dict)
+    val dfa = new PivotDfa(p)
+    PivotSearch.grid(p, maxFid).pivots.iterator
+      .map(k => k -> (if (minimize) Nfa.minimize(dfa.build(k)) else dfa.build(k))).toMap
+  }
+
+  /** Subset construction of the pivot-k NFAs of one [[FstSimulator.Product]].
+    *
+    * Its nodes are `(i, q, b)`: grid state `(i, q)`, and whether the run has
+    * output `k` so far (`b`). An edge may be taken iff its smallest output is
+    * `<= k` (ε counts as 0); its label is its output set restricted to
+    * `(0, k]`, and it sets `b` iff it can output `k`. The NFA accepts the label
+    * sequences of the paths from `(0, initial, 0)` to `(n, final, 1)` — the
+    * σ-restricted runs `r` with `k ∈ K(r)` (Th. 1). It is a DFA over label sets
+    * whose states are ε-closed node sets and whose edges are sorted by label,
+    * so equal languages give equal minimized, serialized NFAs.
+    */
+  private final class PivotDfa(p: FstSimulator.Product) {
+    private val nq = p.fst.numStates
+    private val n = p.length
+    private def node(i: Int, q: Int, b: Int): Int = (i * nq + q) * 2 + b
+    private val live = new Array[Boolean](node(n + 1, 0, 0)) // node reaches (n, final, 1)
+    private val marks = new Array[Int](live.length) // == stamp: in the current closure
+    private var stamp = 0
+    private val buf = new Array[Int](live.length) // closure nodes, also its work queue
+    private var size = 0 // nodes in buf
+
+    // Labels interned by content, shared by all pivots; ids below numOuts are
+    // the output sets of the edges.
+    private val labels = mutable.ArrayBuffer.empty[Array[Int]]
+    private val labelIds = mutable.HashMap.empty[Seq[Int], Int]
+    private def intern(l: Array[Int]): Int =
+      labelIds.getOrElseUpdate(ArraySeq.unsafeWrapArray(l), { labels += l; labels.length - 1 })
+    private val outOf = Array.tabulate(p.numEdges)(e => intern(p.out(e)))
+    private val numOuts = labels.length
+    private val hit = new Array[Boolean](numOuts) // output set contains k
+    private val labelOf = new Array[Int](numOuts) // its label id + 1 for pivot k; 0 = not yet
+
+    // The edges leaving node x are first(x) until stop(x); edge e leads to next(x, e, b).
+    private def first(x: Int): Int = if (x / (2 * nq) < n) p.edgeStart(x / (2 * nq), (x >> 1) % nq) else 0
+    private def stop(x: Int): Int = if (x / (2 * nq) < n) p.edgeStart(x / (2 * nq), (x >> 1) % nq + 1) else 0
+    private def next(x: Int, e: Int, b: Int): Int = node(x / (2 * nq) + 1, p.trans(e).to, b)
+    private def push(x: Int): Unit =
+      if (live(x) && marks(x) != stamp) { marks(x) = stamp; buf(size) = x; size += 1 }
+
+    def build(k: Int): Nfa = {
+      java.util.Arrays.fill(live, false)
+      java.util.Arrays.fill(labelOf, 0)
+      for (u <- 0 until numOuts) hit(u) = java.util.Arrays.binarySearch(labels(u), k) >= 0
+      for (q <- 0 until nq) live(node(n, q, 1)) = p.fst.isFinal(q)
+      var e = p.numEdges - 1
+      var i = n - 1
+      while (e >= 0) {
+        while (e < p.edgeStart(i, 0)) i -= 1
+        val tr = p.trans(e)
+        if (p.out(e)(0) <= k) {
+          if (live(node(i + 1, tr.to, 1))) live(node(i, tr.from, 1)) = true
+          if (live(node(i + 1, tr.to, if (hit(outOf(e))) 1 else 0))) live(node(i, tr.from, 0)) = true
+        }
+        e -= 1
       }
+      def labelId(u: Int): Int = {
+        if (labelOf(u) == 0) {
+          val r = java.util.Arrays.binarySearch(labels(u), k)
+          val m = if (r >= 0) r + 1 else -r - 1
+          labelOf(u) = 1 + (if (m == labels(u).length) u else intern(java.util.Arrays.copyOf(labels(u), m)))
+        }
+        labelOf(u) - 1
+      }
+
+      // DFA states: sorted ε-closed node sets, numbered in discovery order.
+      val sets = mutable.ArrayBuffer.empty[Array[Int]]
+      val ids = mutable.HashMap.empty[Seq[Int], Int]
+      /** The state of the ε-closure of the nodes in the low halves of `seeds(from until to)`. */
+      def state(seeds: Array[Long], from: Int, to: Int): Int = {
+        stamp += 1
+        size = 0
+        for (j <- from until to) push(seeds(j).toInt)
+        var j = 0
+        while (j < size) {
+          val x = buf(j)
+          for (e <- first(x) until stop(x)) if (p.out(e)(0) == 0) push(next(x, e, x & 1))
+          j += 1
+        }
+        val set = java.util.Arrays.copyOf(buf, size)
+        java.util.Arrays.sort(set)
+        ids.getOrElseUpdate(ArraySeq.unsafeWrapArray(set), {
+          if (sets.length == MaxStates) throw new IllegalStateException(s"more than $MaxStates NFA states for pivot $k")
+          sets += set; sets.length - 1
+        })
+      }
+
+      // Per state, breadth-first: its edges as (label id << 32 | target state).
+      val moves = mutable.ArrayBuffer.empty[Array[Long]]
+      val pairs = new mutable.ArrayBuilder.ofLong // (label id << 32 | target node)
+      state(Array(node(0, p.fst.initial, 0).toLong), 0, 1)
+      while (moves.length < sets.length) {
+        pairs.clear()
+        for (x <- sets(moves.length); e <- first(x) until stop(x)) {
+          val o = p.out(e)
+          if (o(0) != 0 && o(0) <= k) {
+            val y = next(x, e, if (hit(outOf(e))) 1 else x & 1)
+            if (live(y)) pairs += (labelId(outOf(e)).toLong << 32) | y
+          }
+        }
+        val ps = pairs.result()
+        java.util.Arrays.sort(ps)
+        val ms = new mutable.ArrayBuilder.ofLong
+        var j = 0
+        while (j < ps.length) {
+          var end = j + 1
+          while (end < ps.length && (ps(end) >>> 32) == (ps(j) >>> 32)) end += 1
+          ms += (ps(j) >>> 32 << 32) | state(ps, j, end)
+          j = end
+        }
+        moves += ms.result()
+      }
+      new Nfa(
+        sets.iterator.map(_.last >= node(n, 0, 0)).toArray, // holds a node at position n
+        moves.iterator.map(_.map(m => (labels((m >>> 32).toInt), m.toInt)).sortBy(_._1)(byLabel)).toArray)
     }
-    tries.iterator.map { case (k, trie) =>
-      val nfa = trie.toNfa
-      k -> (if (minimize) Nfa.minimize(nfa) else nfa)
-    }.toMap
   }
 }

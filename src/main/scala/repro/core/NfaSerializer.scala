@@ -33,34 +33,40 @@ object NfaSerializer {
 
   def serialize(nfa: Nfa): Bytes = {
     val tokens = new mutable.ArrayBuilder.ofInt
-    val visitId = mutable.HashMap.empty[Int, Int] // original state -> DFS id
+    val visitId = Array.fill(nfa.numStates)(-1) // original state -> DFS id
     visitId(0) = 0
+    var visited = 1
     var cursor = 0 // DFS id of the previous transition's target (start: root)
-
-    def dfs(q: Int): Unit = {
-      val qid = visitId(q)
-      for ((label, t) <- nfa.edges(q)) {
+    // Depth-first from the root with an explicit stack of (state, next edge).
+    val stack = new Array[Int](nfa.numStates)
+    val next = new Array[Int](nfa.numStates)
+    var top = 0
+    while (top >= 0) {
+      val q = stack(top)
+      if (next(top) == nfa.edges(q).length) top -= 1
+      else {
+        val (label, t) = nfa.edges(q)(next(top))
+        next(top) += 1
+        val qid = visitId(q)
         if (cursor != qid) { tokens += TagSrc; tokens += qid }
         tokens += TagLabel
         tokens += label.length
         var prev = 0
         for (w <- label) { tokens += (w - prev); prev = w }
-        visitId.get(t) match {
-          case Some(tid) =>
-            tokens += TagTgt; tokens += tid
-            cursor = tid
-          case None =>
-            val tid = visitId.size
-            visitId(t) = tid
-            if (nfa.isFinal(t)) tokens += TagFinal
-            cursor = tid
-            dfs(t)
-            // cursor stays wherever the subtree left it — the deserializer
-            // performs the identical update, so implicit sources stay in sync.
+        if (visitId(t) >= 0) {
+          tokens += TagTgt; tokens += visitId(t)
+          cursor = visitId(t)
+        } else {
+          visitId(t) = visited
+          visited += 1
+          if (nfa.isFinal(t)) tokens += TagFinal
+          cursor = visitId(t)
+          top += 1; stack(top) = t; next(top) = 0
+          // cursor stays wherever the subtree leaves it — the deserializer
+          // performs the identical update, so implicit sources stay in sync.
         }
       }
     }
-    dfs(0)
     new Bytes(varints(tokens.result()))
   }
 

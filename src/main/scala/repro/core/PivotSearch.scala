@@ -40,20 +40,6 @@ object PivotSearch {
     out.result()
   }
 
-  /** Pivot items of a single run (Th. 1): fold `⊕` over the run's σ-filtered
-    * output sets. Returns empty if the run generates no all-frequent candidate.
-    * Used directly by D-CAND and by tests; D-SEQ uses the grid DP instead.
-    */
-  def pivotsOfRun(run: FstSimulator.Run, maxFid: Int): Array[Int] = {
-    var acc: Array[Int] = Array(0) // ε seed: identity of ⊕
-    for (outSet <- run) {
-      val o = filterFrequent(outSet, maxFid)
-      if (o.isEmpty) return Array.empty
-      acc = oplus(acc, o)
-    }
-    acc.filter(_ != 0)
-  }
-
   private def filterFrequent(outSet: Array[Int], maxFid: Int): Array[Int] =
     if (maxFid < 0) outSet else outSet.filter(w => w <= maxFid) // keeps ε (0)
 
@@ -91,9 +77,13 @@ object PivotSearch {
     * excluded from output sets, runs forced through an all-infrequent output
     * set are discarded (they generate no candidate in `Gσπ(T)`).
     */
-  def grid(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): GridResult = {
-    val n = t.length
-    val p = FstSimulator.product(t, fst, dict)
+  def grid(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): GridResult =
+    grid(FstSimulator.product(t, fst, dict), maxFid)
+
+  /** The grid DP on an already built [[FstSimulator.Product]]. */
+  def grid(p: FstSimulator.Product, maxFid: Int): GridResult = {
+    val n = p.length
+    val fst = p.fst
     // K(q) at the current / next position: pivot set of the surviving partial
     // runs ending there; null = none.
     var kCur = new Array[Array[Int]](fst.numStates)

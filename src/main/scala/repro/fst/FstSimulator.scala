@@ -2,7 +2,6 @@ package repro.fst
 
 import repro.dict.Dictionary
 
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** FST simulation over the position × state grid of an input sequence
@@ -30,8 +29,7 @@ object FstSimulator {
     * (Fig. 5): edge `e` consumes `t(i)` with transition `trans(e)`, produces
     * one item of `out(e)`, and lies on some accepting run of `t`. The edges
     * leaving grid state `(i, q)` are `edgeStart(i, q) until edgeStart(i, q + 1)`,
-    * in `fst.byState(q)` order — the order in which `foreachAcceptingRun`
-    * tries them.
+    * in `fst.byState(q)` order.
     */
   final class Product private[FstSimulator] (
       val fst: Fst,
@@ -44,35 +42,6 @@ object FstSimulator {
     def numEdges: Int = trans.length
     def edgeStart(i: Int, q: Int): Int = start(i * fst.numStates + q)
     def edgesAt(i: Int): Range = edgeStart(i, 0) until edgeStart(i + 1, 0)
-
-    /** Stream the accepting runs to `f` in `foreachAcceptingRun` order, with an
-      * explicit stack so that no sequence is too long for the call stack.
-      * More than `MaxRuns` runs raise an IllegalStateException.
-      */
-    def foreachRun(f: Run => Unit): Unit = if (accepting) {
-      val chosen = new Array[Int](length) // edge taken at each position
-      val cur = new Array[Array[Int]](length)
-      var count = 0
-      var i = 0
-      var e = if (length == 0) 0 else edgeStart(0, fst.initial) // next edge to try at i
-      while (i >= 0) {
-        val q = if (i == 0) fst.initial else trans(chosen(i - 1)).to
-        if (i < length && e < edgeStart(i, q + 1)) {
-          chosen(i) = e
-          cur(i) = out(e)
-          i += 1
-          if (i < length) e = edgeStart(i, trans(e).to)
-        } else {
-          if (i == length) {
-            count += 1
-            if (count > MaxRuns) throw new IllegalStateException(s"more than $MaxRuns accepting runs")
-            f(ArraySeq.unsafeWrapArray(cur.clone()))
-          }
-          i -= 1
-          if (i >= 0) e = chosen(i) + 1
-        }
-      }
-    }
   }
 
   /** Build the [[Product]] of `t`: a backward pass marks the grid states from
@@ -160,8 +129,8 @@ object FstSimulator {
 
   /** Stream all accepting runs of `t` (as sequences of output sets) to `f`
     * without materializing them. Exponential in general — `maxRuns` guards
-    * against blow-up (the paper's NAIVE OOM cases surface here, and D-CAND's
-    * in `Product.foreachRun`, as an IllegalStateException).
+    * against blow-up (the paper's NAIVE OOM cases surface here as an
+    * IllegalStateException).
     */
   def foreachAcceptingRun(t: Array[Int], fst: Fst, dict: Dictionary,
                           maxRuns: Int = MaxRuns)(f: Run => Unit): Unit = {

@@ -40,7 +40,7 @@ class NfaSpec extends AnyFunSuite {
   }
 
   test("Fig 7b: unminimized trie for ρc(T1) has 13 vertices and 12 edges") {
-    val nfa = Nfa.buildForSequence(T1, fst, dict, dict.maxFrequentFid(2), minimize = false)(c)
+    val nfa = ReferenceNfa.buildForSequence(T1, fst, dict, dict.maxFrequentFid(2), minimize = false)(c)
     assert(nfa.numStates == 13, s"states=${nfa.numStates}")
     assert(nfa.numEdges == 12, s"edges=${nfa.numEdges}")
   }
@@ -105,7 +105,7 @@ class NfaSpec extends AnyFunSuite {
   }
 
   test("trie inserts dedupe runs generating identical output-set sequences") {
-    val trie = new Nfa.Trie
+    val trie = new ReferenceNfa.Trie
     trie.insert(Seq(Array(a1), Array(b)))
     trie.insert(Seq(Array(a1), Array(b)))
     val nfa = trie.toNfa
@@ -118,7 +118,7 @@ class NfaSpec extends AnyFunSuite {
     test(s"random tries: minimize + serialize preserve the language [seed=$seed]") {
       val r = new Random(seed)
       for (_ <- 0 until 30) {
-        val trie = new Nfa.Trie
+        val trie = new ReferenceNfa.Trie
         val nRuns = 1 + r.nextInt(6)
         for (_ <- 0 until nRuns) {
           val len = 1 + r.nextInt(4)

@@ -9,6 +9,7 @@ import java.util.Random
 
 class PivotSearchSpec extends AnyFunSuite {
   import PivotSearch._
+  import ReferenceNfa.pivotsOfRun
 
   private lazy val fst = FstCompiler.compile(piEx, dict)
 

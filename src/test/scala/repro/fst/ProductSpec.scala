@@ -5,8 +5,7 @@ import repro.TestGen
 import repro.dict.Dictionary
 
 /** The [[FstSimulator.Product]] kernel against the reference enumeration: its
-  * edges are exactly the edges on the accepting runs of `foreachAcceptingRun`,
-  * and it yields the same runs in the same order.
+  * edges are exactly the edges on the accepting runs of `foreachAcceptingRun`.
   */
 class ProductSpec extends AnyFunSuite {
 
@@ -45,10 +44,6 @@ class ProductSpec extends AnyFunSuite {
         if (runs.isEmpty) assert(p.numEdges == 0)
         for (i <- t.indices; e <- p.edgesAt(i))
           assert(p.out(e).sameElements(p.trans(e).out.outputs(t(i), dict)))
-
-        val productRuns = Seq.newBuilder[FstSimulator.Run]
-        p.foreachRun(productRuns += _)
-        assert(lists(productRuns.result()) == lists(runs), s"t=${dict.decode(t)}")
       }
     }
   }
@@ -59,9 +54,6 @@ class ProductSpec extends AnyFunSuite {
     val p = FstSimulator.product(db(0), fst, dict)
     assert(FstSimulator.acceptingRuns(db(0), fst, dict).isEmpty)
     assert(!p.accepting && p.numEdges == 0)
-    var runs = 0
-    p.foreachRun(_ => runs += 1)
-    assert(runs == 0)
     assert(!FstSimulator.product(db(1), fst, dict).accepting)
   }
 }
