@@ -8,28 +8,37 @@ import scala.collection.mutable
 /** DESQ-DFS: pattern-growth mining under a DESQ subsequence constraint
   * (Sec. V-C; originally from the DESQ paper [5]).
   *
-  * The search tree grows a prefix one output item at a time. Each node holds a
-  * projected database of `(T, pos, state)` snapshots — FST simulations of `T`
-  * that have produced exactly the node's prefix and stand at `pos`/`state`.
-  * Snapshots move along the edges of `T`'s [[FstSimulator.Product]]. A prefix
-  * is a complete candidate for `T` if some snapshot can consume the rest of
-  * `T` producing only ε (precomputed per `(pos, state)`).
+  * The search tree grows a prefix one output item at a time over the
+  * [[Graph]]s of weighted sequences. Each node holds a projected database of
+  * `(T, node)` snapshots — walks through `T`'s graph that have produced
+  * exactly the node's prefix. A prefix is a complete candidate for `T` if some
+  * snapshot stands at an accepting graph node. The same search mines D-CAND's
+  * NFAs ([[NfaMiner]]).
   *
-  * With `pivot = Some(k)` the miner runs D-SEQ's restricted local mining:
-  * prefixes use only items `<= k`, only sequences containing `k` are emitted,
-  * and the early-stopping heuristic skips snapshots that are past the last
-  * position of `T` able to output `k` while the prefix lacks `k`.
-  *
+  * [[mine]] searches the [[FstSimulator.Product]] of each sequence: a node is
+  * a grid state `(pos, state)`, and it accepts if the FST can consume the rest
+  * of `T` producing only ε. With `pivot = Some(k)` it runs D-SEQ's restricted
+  * local mining: prefixes use only items `<= k`, only sequences containing `k`
+  * are emitted, and the early-stopping heuristic skips snapshots that are past
+  * the last position of `T` able to output `k` while the prefix lacks `k`.
   * The unrestricted variant (`pivot = None`) is the sequential DESQ-DFS
   * baseline of Tab. V.
   */
 object DesqDfs {
 
+  /** A weighted acyclic output graph in CSR form: the edges of node `x` are
+    * `start(x) until start(x + 1)`; edge `e` leads to node `to(e)` and outputs
+    * one item of `out(e)` (0 = ε). A snapshot may stop at `x` iff `accept(x)`.
+    * Snapshots at nodes past `cutoff` are dropped while the prefix lacks the
+    * pivot.
+    */
+  final class Graph(val start: Array[Int], val to: Array[Int], val out: Array[Array[Int]],
+                    val accept: Array[Boolean], val weight: Long, val cutoff: Int)
+
   /** Mine `db` (sequences with multiplicities) for frequent subsequences.
     *
-    * @param maxFid    largest frequent fid (σ boundary on items)
-    * @param pivot     if set, mine only pivot sequences for this item
-    * @param earlyStop enable the early-stopping heuristic (pivot mode only)
+    * @param maxFid largest frequent fid (σ boundary on items)
+    * @param pivot  if set, mine only pivot sequences for this item
     */
   def mine(
       db: IndexedSeq[(Array[Int], Long)],
@@ -37,117 +46,93 @@ object DesqDfs {
       dict: Dictionary,
       sigma: Long,
       maxFid: Int,
-      pivot: Option[Int] = None,
-      earlyStop: Boolean = true
+      pivot: Option[Int] = None
   ): Map[Pattern, Long] = {
-    val n = db.length
-    if (n == 0) return Map.empty
-    val itemCap = pivot.fold(maxFid)(k => math.min(k, maxFid))
-    val pivotItem = pivot.getOrElse(0)
-
-    // Per-sequence precomputation.
-    val weights = new Array[Long](n)
-    val products = new Array[FstSimulator.Product](n)
-    val epsReach = new Array[Array[Boolean]](n)
-    val lastPivotPos = Array.fill(n)(Int.MaxValue)
+    val k = pivot.getOrElse(0)
     val nq = fst.numStates
-
-    require(nq <= 1024, "entry encoding supports at most 1024 FST states")
-    var tid = 0
-    while (tid < n) {
-      val (t, w) = db(tid)
-      weights(tid) = w
-      require(t.length < (1 << 21), "entry encoding supports sequences up to 2^21 items")
+    val graphs = db.iterator.map { case (t, w) =>
       val p = FstSimulator.product(t, fst, dict)
-      products(tid) = p
-      // One backward pass over the edges. epsReach(i * nq + q): can the FST
-      // consume t(i+1..n) from q, reach a final state and output only ε along
-      // the way? (Exact on the grid states of the product, the only ones
-      // looked up.) lastPivotPos: the last position at which an edge can
-      // output the pivot — the early-stopping cutoff.
-      val er = new Array[Boolean]((t.length + 1) * nq)
-      for (q <- 0 until nq) er(t.length * nq + q) = fst.isFinal(q)
-      var e = p.numEdges - 1
-      var i = t.length - 1
-      while (e >= 0) {
-        while (e < p.edgeStart(i, 0)) i -= 1
-        val tr = p.trans(e)
-        val outs = p.out(e)
-        if (outs.length == 1 && outs(0) == 0 && er((i + 1) * nq + tr.to)) er(i * nq + tr.from) = true
-        if (earlyStop && pivotItem > 0 && lastPivotPos(tid) == Int.MaxValue &&
-            java.util.Arrays.binarySearch(outs, pivotItem) >= 0) lastPivotPos(tid) = i
-        e -= 1
+      // One backward pass over the nodes. accept(x): can the FST consume the
+      // rest of t from grid state x, reach a final state and output only ε
+      // along the way? (Exact on the grid states of the product, the only ones
+      // looked up.) last: the last node with an edge that can output the
+      // pivot; the early-stopping cutoff is the end of its position's row.
+      val accept = new Array[Boolean]((t.length + 1) * nq)
+      for (q <- 0 until nq) accept(t.length * nq + q) = fst.isFinal(q)
+      var last = -1
+      var x = t.length * nq - 1
+      while (x >= 0) {
+        var e = p.start(x)
+        while (e < p.start(x + 1)) {
+          val outs = p.out(e)
+          if (outs.length == 1 && outs(0) == 0 && accept(p.to(e))) accept(x) = true
+          if (last < 0 && k > 0 && java.util.Arrays.binarySearch(outs, k) >= 0) last = x
+          e += 1
+        }
+        x -= 1
       }
-      epsReach(tid) = er
-      tid += 1
-    }
-    // marks(i * nq + q) == stamp: grid state visited by the current ε-closure.
-    // Closures run one tid at a time, so one array serves all sequences and a
-    // new stamp clears it.
-    val marks = new Array[Int](epsReach.iterator.map(_.length).max)
+      new Graph(p.start, p.to, p.out, accept, w, if (last < 0) Int.MaxValue else (last / nq + 1) * nq - 1)
+    }.toArray
+    search(graphs, fst.initial, sigma, if (k > 0) math.min(k, maxFid) else maxFid, k)
+  }
+
+  /** Pattern growth over `graphs`, every walk starting at node `root`: the
+    * frequent output sequences of items `<= itemCap`, with their supports. If
+    * `pivot > 0`, only sequences that contain `pivot` are emitted.
+    */
+  private[core] def search(graphs: Array[Graph], root: Int, sigma: Long, itemCap: Int,
+                           pivot: Int): Map[Pattern, Long] = {
+    if (graphs.isEmpty) return Map.empty
+    // marks(x) == stamp: node x visited by the current ε-closure. Closures run
+    // one graph at a time, so one array serves all graphs and a new stamp
+    // clears it.
+    val marks = new Array[Int](graphs.iterator.map(_.accept.length).max)
     var stamp = 0
-
-    @inline def enc(tid: Int, pos: Int, q: Int): Long = (tid.toLong << 31) | (pos.toLong << 10) | q
-    @inline def decTid(e: Long): Int = (e >>> 31).toInt
-    @inline def decPos(e: Long): Int = ((e >>> 10) & 0x1FFFFF).toInt
-    @inline def decQ(e: Long): Int = (e & 0x3FF).toInt
-
     val results = mutable.HashMap.empty[Pattern, Long]
     val prefix = mutable.ArrayBuffer.empty[Int]
 
-    /** Expand the node with the given projected database entries. */
-    def expand(entries: Array[Long], hasPivot: Boolean): Unit = {
-      // item -> child entries, in tid order since we process parent entries
-      // in tid order. An entry may occur twice; the child's ε-closure and
-      // support count see each grid state of a tid once.
+    /** Expand the search node with the given snapshots `tid << 32 | node`. */
+    def expand(snapshots: Array[Long], hasPivot: Boolean): Unit = {
+      // item -> child snapshots, in tid order since we process parent
+      // snapshots in tid order. A snapshot may occur twice; the child's
+      // ε-closure and support count see each node of a tid once.
       val children = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Long]]
-      var lastDfsTid = -1
-      var work = new Array[Int](16) // ε-closure work list of pos<<10|q keys
+      var work = new Array[Int](16) // ε-closure work list of nodes
       var top = 0
-      def push(i: Int, q: Int): Unit = if (marks(i * nq + q) != stamp) {
-        marks(i * nq + q) = stamp
+      def push(x: Int): Unit = if (marks(x) != stamp) {
+        marks(x) = stamp
         if (top == work.length) work = java.util.Arrays.copyOf(work, 2 * top)
-        work(top) = (i << 10) | q
+        work(top) = x
         top += 1
       }
 
-      var ei = 0
-      while (ei < entries.length) {
-        val e = entries(ei)
-        val etid = decTid(e)
-        if (etid != lastDfsTid) { stamp += 1; lastDfsTid = etid }
-        val skip = !hasPivot && pivot.isDefined && earlyStop && decPos(e) > lastPivotPos(etid)
-        if (!skip) closure(etid, decPos(e), decQ(e))
-        ei += 1
-      }
-
-      /** Follow ε-output edges from `(i, q)` and record every child snapshot
-        * reached by one non-ε output item.
-        */
-      def closure(tid: Int, i0: Int, q0: Int): Unit = {
-        val p = products(tid)
-        push(i0, q0)
+      var lastTid = -1
+      var si = 0
+      while (si < snapshots.length) {
+        val tid = (snapshots(si) >>> 32).toInt
+        val g = graphs(tid)
+        if (tid != lastTid) { stamp += 1; lastTid = tid }
+        // Follow ε-output edges and record every child snapshot reached by
+        // one non-ε output item.
+        if (hasPivot || snapshots(si).toInt <= g.cutoff) push(snapshots(si).toInt)
         while (top > 0) {
           top -= 1
-          val i = work(top) >>> 10
-          val q = work(top) & 0x3FF
-          if (i < p.length) {
-            var e = p.edgeStart(i, q)
-            while (e < p.edgeStart(i, q + 1)) {
-              val to = p.trans(e).to
-              val outs = p.out(e)
-              var oi = 0
-              while (oi < outs.length) {
-                val w = outs(oi)
-                if (w == 0) push(i + 1, to)
-                else if (w <= itemCap)
-                  children.getOrElseUpdate(w, mutable.ArrayBuffer.empty) += enc(tid, i + 1, to)
-                oi += 1
-              }
-              e += 1
+          val x = work(top)
+          var e = g.start(x)
+          while (e < g.start(x + 1)) {
+            val outs = g.out(e)
+            var oi = 0
+            while (oi < outs.length) {
+              val w = outs(oi)
+              if (w == 0) push(g.to(e))
+              else if (w <= itemCap)
+                children.getOrElseUpdate(w, mutable.ArrayBuffer.empty) += (tid.toLong << 32) | g.to(e)
+              oi += 1
             }
+            e += 1
           }
         }
+        si += 1
       }
 
       for ((w, buf) <- children) {
@@ -158,16 +143,16 @@ object DesqDfs {
         var counted = false
         var bi = 0
         while (bi < buf.length) {
-          val e = buf(bi)
-          val t = decTid(e)
-          if (t != lastTid) { bound += weights(t); lastTid = t; counted = false }
-          if (!counted && epsReach(t)(decPos(e) * nq + decQ(e))) { support += weights(t); counted = true }
+          val tid = (buf(bi) >>> 32).toInt
+          val g = graphs(tid)
+          if (tid != lastTid) { bound += g.weight; lastTid = tid; counted = false }
+          if (!counted && g.accept(buf(bi).toInt)) { support += g.weight; counted = true }
           bi += 1
         }
         if (bound >= sigma) {
           prefix += w
-          val childHasPivot = hasPivot || pivot.contains(w)
-          if (support >= sigma && (pivot.isEmpty || childHasPivot))
+          val childHasPivot = hasPivot || w == pivot
+          if (support >= sigma && (pivot == 0 || childHasPivot))
             results(Pattern(prefix.toArray)) = support
           expand(buf.toArray, childHasPivot)
           prefix.remove(prefix.length - 1)
@@ -175,8 +160,7 @@ object DesqDfs {
       }
     }
 
-    val root = Array.tabulate(n)(tid => enc(tid, 0, fst.initial))
-    expand(root, hasPivot = false)
+    expand(Array.tabulate(graphs.length)(tid => (tid.toLong << 32) | root), hasPivot = false)
     results.toMap
   }
 }

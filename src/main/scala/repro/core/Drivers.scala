@@ -26,9 +26,7 @@ object Drivers {
       sequences: RDD[Array[Int]],
       dict: Dictionary,
       patex: String,
-      sigma: Long,
-      rewrite: Boolean = true,
-      earlyStop: Boolean = true
+      sigma: Long
   ): RDD[(Pattern, Long)] = {
     val fst = FstCompiler.compile(patex, dict)
     val maxFid = dict.maxFrequentFid(sigma)
@@ -38,16 +36,14 @@ object Drivers {
     sequences
       .flatMap { t =>
         val g = PivotSearch.grid(t, bcFst.value, bcDict.value, maxFid)
-        g.pivots.iterator.map { k =>
-          (k, if (rewrite) PivotSearch.rewrite(t, g, k) else t)
-        }
+        g.pivots.iterator.map(k => (k, PivotSearch.rewrite(t, g, k)))
       }
       .groupByKey(parts)
       .flatMap { case (k, seqs) =>
         DesqDfs.mine(
           seqs.iterator.map((_, 1L)).toIndexedSeq,
           bcFst.value, bcDict.value, sigma, maxFid,
-          pivot = Some(k), earlyStop = earlyStop)
+          pivot = Some(k))
       }
   }
 
@@ -62,24 +58,19 @@ object Drivers {
       sequences: RDD[Array[Int]],
       dict: Dictionary,
       patex: String,
-      sigma: Long,
-      aggregate: Boolean = true,
-      minimizeNfas: Boolean = true
+      sigma: Long
   ): RDD[(Pattern, Long)] = {
     val fst = FstCompiler.compile(patex, dict)
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
     val parts = sc.defaultParallelism
-
-    val perSeq = sequences.flatMap { t =>
-      Nfa.buildForSequence(t, bcFst.value, bcDict.value, maxFid, minimize = minimizeNfas)
-        .iterator.map { case (k, nfa) => ((k, NfaSerializer.serialize(nfa)), 1L) }
-    }
-    val weighted =
-      if (aggregate) perSeq.reduceByKey(_ + _, parts)
-      else perSeq // identical NFAs stay separate — the "no agg" ablation
-    weighted
+    sequences
+      .flatMap { t =>
+        Nfa.buildForSequence(t, bcFst.value, bcDict.value, maxFid)
+          .iterator.map { case (k, nfa) => ((k, NfaSerializer.serialize(nfa)), 1L) }
+      }
+      .reduceByKey(_ + _, parts)
       .map { case ((k, bytes), w) => (k, (bytes, w)) }
       .groupByKey(parts)
       .flatMap { case (k, nfas) =>

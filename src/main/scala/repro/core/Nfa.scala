@@ -137,10 +137,10 @@ object Nfa {
     private val hit = new Array[Boolean](numOuts) // output set contains k
     private val labelOf = new Array[Int](numOuts) // its label id + 1 for pivot k; 0 = not yet
 
-    // The edges leaving node x are first(x) until stop(x); edge e leads to next(x, e, b).
-    private def first(x: Int): Int = if (x / (2 * nq) < n) p.edgeStart(x / (2 * nq), (x >> 1) % nq) else 0
-    private def stop(x: Int): Int = if (x / (2 * nq) < n) p.edgeStart(x / (2 * nq), (x >> 1) % nq + 1) else 0
-    private def next(x: Int, e: Int, b: Int): Int = node(x / (2 * nq) + 1, p.trans(e).to, b)
+    // The edges leaving node x are first(x) until stop(x); edge e leads to next(e, b).
+    private def first(x: Int): Int = p.start(x >> 1)
+    private def stop(x: Int): Int = p.start((x >> 1) + 1)
+    private def next(e: Int, b: Int): Int = 2 * p.to(e) + b
     private def push(x: Int): Unit =
       if (live(x) && marks(x) != stamp) { marks(x) = stamp; buf(size) = x; size += 1 }
 
@@ -149,16 +149,17 @@ object Nfa {
       java.util.Arrays.fill(labelOf, 0)
       for (u <- 0 until numOuts) hit(u) = java.util.Arrays.binarySearch(labels(u), k) >= 0
       for (q <- 0 until nq) live(node(n, q, 1)) = p.fst.isFinal(q)
-      var e = p.numEdges - 1
-      var i = n - 1
-      while (e >= 0) {
-        while (e < p.edgeStart(i, 0)) i -= 1
-        val tr = p.trans(e)
-        if (p.out(e)(0) <= k) {
-          if (live(node(i + 1, tr.to, 1))) live(node(i, tr.from, 1)) = true
-          if (live(node(i + 1, tr.to, if (hit(outOf(e))) 1 else 0))) live(node(i, tr.from, 0)) = true
+      var x = node(n, 0, 0) - 2 // (x, x + 1) = (i, q, 0), (i, q, 1), backwards
+      while (x >= 0) {
+        var e = first(x)
+        while (e < stop(x)) {
+          if (p.out(e)(0) <= k) {
+            if (live(next(e, 1))) live(x + 1) = true
+            if (live(next(e, if (hit(outOf(e))) 1 else 0))) live(x) = true
+          }
+          e += 1
         }
-        e -= 1
+        x -= 2
       }
       def labelId(u: Int): Int = {
         if (labelOf(u) == 0) {
@@ -180,7 +181,7 @@ object Nfa {
         var j = 0
         while (j < size) {
           val x = buf(j)
-          for (e <- first(x) until stop(x)) if (p.out(e)(0) == 0) push(next(x, e, x & 1))
+          for (e <- first(x) until stop(x)) if (p.out(e)(0) == 0) push(next(e, x & 1))
           j += 1
         }
         val set = java.util.Arrays.copyOf(buf, size)
@@ -200,7 +201,7 @@ object Nfa {
         for (x <- sets(moves.length); e <- first(x) until stop(x)) {
           val o = p.out(e)
           if (o(0) != 0 && o(0) <= k) {
-            val y = next(x, e, if (hit(outOf(e))) 1 else x & 1)
+            val y = next(e, if (hit(outOf(e))) 1 else x & 1)
             if (live(y)) pairs += (labelId(outOf(e)).toLong << 32) | y
           }
         }

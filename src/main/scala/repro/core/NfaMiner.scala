@@ -1,15 +1,14 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** D-CAND local mining (Sec. VI-B): count candidate subsequences directly on
-  * the received weighted NFAs with a pattern-growth search.
+  * the received weighted NFAs with DESQ-DFS's pattern-growth search
+  * ([[DesqDfs.search]]), each NFA being one weighted output graph.
   *
-  * A prefix's projected database is, per NFA, the set of states reachable by
+  * A prefix's projected database is, per NFA, the states reachable by
   * spelling the prefix from the root. The prefix is accepted by an NFA iff one
   * of those states is final; its frequency is the weight sum of accepting
-  * NFAs. Because acceptance is per-NFA set membership, overlapping paths in
-  * one NFA never double-count.
+  * NFAs. Because acceptance is counted once per NFA, overlapping paths in one
+  * NFA never double-count.
   *
   * Only sequences whose pivot is exactly `k` (i.e. that contain `k`; all items
   * are `<= k` by construction) are emitted.
@@ -17,39 +16,19 @@ import scala.collection.mutable
 object NfaMiner {
 
   def mine(nfas: IndexedSeq[(Nfa, Long)], sigma: Long, pivot: Int): Map[Pattern, Long] = {
-    val results = mutable.HashMap.empty[Pattern, Long]
-    if (nfas.isEmpty) return Map.empty
-    val prefix = mutable.ArrayBuffer.empty[Int]
-
-    /** entries: (nfa index, reachable state set). */
-    def expand(entries: Seq[(Int, Set[Int])], hasPivot: Boolean): Unit = {
-      // item -> per-NFA next state sets
-      val children = mutable.LinkedHashMap.empty[Int, mutable.LinkedHashMap[Int, mutable.Set[Int]]]
-      for ((ni, states) <- entries; q <- states; (label, t) <- nfas(ni)._1.edges(q); w <- label)
-        children.getOrElseUpdate(w, mutable.LinkedHashMap.empty)
-          .getOrElseUpdate(ni, mutable.Set.empty) += t
-
-      for ((w, perNfa) <- children) {
-        var bound = 0L
-        var support = 0L
-        val childEntries = perNfa.iterator.map { case (ni, states) =>
-          val weight = nfas(ni)._2
-          bound += weight
-          if (states.exists(nfas(ni)._1.isFinal)) support += weight
-          (ni, states.toSet)
-        }.toSeq
-        if (bound >= sigma) {
-          prefix += w
-          val childHasPivot = hasPivot || w == pivot
-          if (support >= sigma && childHasPivot)
-            results(Pattern(prefix.toArray)) = support
-          expand(childEntries, childHasPivot)
-          prefix.remove(prefix.length - 1)
-        }
+    val graphs = new Array[DesqDfs.Graph](nfas.length)
+    for (ni <- nfas.indices) {
+      val (nfa, weight) = nfas(ni)
+      val start = new Array[Int](nfa.numStates + 1)
+      for (q <- 0 until nfa.numStates) start(q + 1) = start(q) + nfa.edges(q).length
+      val to = new Array[Int](start(nfa.numStates))
+      val out = new Array[Array[Int]](to.length)
+      for (q <- 0 until nfa.numStates; j <- nfa.edges(q).indices) {
+        out(start(q) + j) = nfa.edges(q)(j)._1
+        to(start(q) + j) = nfa.edges(q)(j)._2
       }
+      graphs(ni) = new DesqDfs.Graph(start, to, out, nfa.isFinal, weight, Int.MaxValue)
     }
-
-    expand(nfas.indices.map(ni => (ni, Set(0))), hasPivot = false)
-    results.toMap
+    DesqDfs.search(graphs, root = 0, sigma, itemCap = pivot, pivot)
   }
 }

@@ -27,21 +27,22 @@ object FstSimulator {
 
   /** The surviving edges of the position × state grid of one input sequence
     * (Fig. 5): edge `e` consumes `t(i)` with transition `trans(e)`, produces
-    * one item of `out(e)`, and lies on some accepting run of `t`. The edges
-    * leaving grid state `(i, q)` are `edgeStart(i, q) until edgeStart(i, q + 1)`,
-    * in `fst.byState(q)` order.
+    * one item of `out(e)`, lies on some accepting run of `t`, and leads to grid
+    * node `to(e)`. Grid state `(i, q)` is node `i * nq + q`, for `i` in `0..n`;
+    * the edges leaving node `x` are `start(x) until start(x + 1)`, in
+    * `fst.byState(q)` order (none at position `n`).
     */
   final class Product private[FstSimulator] (
       val fst: Fst,
       val length: Int,
       val accepting: Boolean, // does `t` have an accepting run at all?
-      start: Array[Int],
+      val start: Array[Int],
       val trans: Array[Transition],
+      val to: Array[Int],
       val out: Array[Array[Int]]
   ) {
     def numEdges: Int = trans.length
-    def edgeStart(i: Int, q: Int): Int = start(i * fst.numStates + q)
-    def edgesAt(i: Int): Range = edgeStart(i, 0) until edgeStart(i + 1, 0)
+    def edgesAt(i: Int): Range = start(i * fst.numStates) until start((i + 1) * fst.numStates)
   }
 
   /** Build the [[Product]] of `t`: a backward pass marks the grid states from
@@ -68,8 +69,9 @@ object FstSimulator {
     }
     val fwd = new Array[Boolean]((n + 1) * nq)
     fwd(fst.initial) = reach(fst.initial)
-    val start = new Array[Int](n * nq + 1)
+    val start = new Array[Int]((n + 1) * nq + 1)
     val trans = new Array[Transition](n * fst.numTransitions) // at most |Δ| edges per position
+    val to = new Array[Int](trans.length)
     val out = new Array[Array[Int]](trans.length)
     var m = 0
     i = 0
@@ -84,9 +86,10 @@ object FstSimulator {
             val tr = ts(j)
             if (viable(i, tr)) {
               trans(m) = tr
+              to(m) = (i + 1) * nq + tr.to
               out(m) = tr.out.outputs(t(i), dict)
+              fwd(to(m)) = true
               m += 1
-              fwd((i + 1) * nq + tr.to) = true
             }
             j += 1
           }
@@ -95,8 +98,9 @@ object FstSimulator {
       }
       i += 1
     }
-    start(n * nq) = m
-    new Product(fst, n, reach(fst.initial), start, java.util.Arrays.copyOf(trans, m), java.util.Arrays.copyOf(out, m))
+    java.util.Arrays.fill(start, n * nq, start.length, m)
+    new Product(fst, n, reach(fst.initial), start, java.util.Arrays.copyOf(trans, m),
+      java.util.Arrays.copyOf(to, m), java.util.Arrays.copyOf(out, m))
   }
 
   /** `reach(i)(q)` — can the FST consume `t(i+1..n)` starting in state `q` and

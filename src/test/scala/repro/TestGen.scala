@@ -76,7 +76,7 @@ object TestGen {
     * comparison without a SparkSession.
     */
   def dSeqLocal(db: IndexedSeq[Array[Int]], dict: Dictionary, patex: String, sigma: Long,
-                rewrite: Boolean = true, earlyStop: Boolean = true): Map[Pattern, Long] = {
+                rewrite: Boolean = true): Map[Pattern, Long] = {
     val fst = FstCompiler.compile(patex, dict)
     val maxFid = dict.maxFrequentFid(sigma)
     val partitions = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Array[Int]]]
@@ -87,8 +87,7 @@ object TestGen {
           (if (rewrite) PivotSearch.rewrite(t, g, k) else t)
     }
     partitions.iterator.flatMap { case (k, seqs) =>
-      DesqDfs.mine(seqs.toIndexedSeq.map((_, 1L)), fst, dict, sigma, maxFid,
-                   pivot = Some(k), earlyStop = earlyStop)
+      DesqDfs.mine(seqs.toIndexedSeq.map((_, 1L)), fst, dict, sigma, maxFid, pivot = Some(k))
     }.toMap
   }
 

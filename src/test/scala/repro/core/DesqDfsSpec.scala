@@ -54,15 +54,6 @@ class DesqDfsSpec extends AnyFunSuite {
     assert(got(Pattern(a1, a1, b)) == 3L)
   }
 
-  test("early stopping on/off produce identical results (running example)") {
-    val maxFid = dict.maxFrequentFid(2)
-    for (k <- Seq(a1, c)) {
-      val on = DesqDfs.mine(asDb(db), fst, dict, 1, maxFid, Some(k), earlyStop = true)
-      val off = DesqDfs.mine(asDb(db), fst, dict, 1, maxFid, Some(k), earlyStop = false)
-      assert(on == off, s"pivot ${dict.name(k)}")
-    }
-  }
-
   test("union over pivot partitions equals unrestricted mining") {
     val maxFid = dict.maxFrequentFid(2)
     val full = DesqDfs.mine(asDb(db), fst, dict, 2, maxFid)

@@ -57,24 +57,6 @@ class DriversSpec extends SparkSpec {
     assert(results.head.nonEmpty)
   }
 
-  test("D-SEQ options (no rewrite, no early stop) do not change results") {
-    val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(63), TestGen.toyParents)
-    val rdd = sc.parallelize(dbr, 4)
-    val patex = ".*(m1)[(.^).*]*(m2).*"
-    val base = Drivers.dSeq(sc, rdd, d, patex, 2).collect().toMap
-    assert(Drivers.dSeq(sc, rdd, d, patex, 2, rewrite = false).collect().toMap == base)
-    assert(Drivers.dSeq(sc, rdd, d, patex, 2, earlyStop = false).collect().toMap == base)
-  }
-
-  test("D-CAND options (no aggregation, no minimization) do not change results") {
-    val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(64), TestGen.toyParents)
-    val rdd = sc.parallelize(dbr, 4)
-    val patex = "(.)[.{0,1}(.)]{1,2}"
-    val base = Drivers.dCand(sc, rdd, d, patex, 2).collect().toMap
-    assert(Drivers.dCand(sc, rdd, d, patex, 2, aggregate = false).collect().toMap == base)
-    assert(Drivers.dCand(sc, rdd, d, patex, 2, minimizeNfas = false).collect().toMap == base)
-  }
-
   test("each frequent subsequence is emitted exactly once (no duplicate keys)") {
     val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(65, nSeqs = 50), TestGen.toyParents)
     for (algo <- Seq("dseq", "dcand")) {

@@ -44,7 +44,6 @@ class LocalDataflowSpec extends AnyFunSuite {
       val sigma = 2L
       val want = BruteForce.mine(dbr, patex, sigma, d)
       assert(TestGen.dSeqLocal(dbr, d, patex, sigma, rewrite = false) == want, "no rewrite")
-      assert(TestGen.dSeqLocal(dbr, d, patex, sigma, earlyStop = false) == want, "no early stop")
     }
   }
 
@@ -54,6 +53,20 @@ class LocalDataflowSpec extends AnyFunSuite {
       val sigma = 3L
       assert(TestGen.dSeqLocal(dbr, d, patex, sigma) == TestGen.dCandLocal(dbr, d, patex, sigma))
     }
+  }
+
+  test("an FST with more than 1024 states: DESQ-DFS, D-SEQ and D-CAND == brute force") {
+    val patex = "(l0)[.*(l1)]{1,1100}"
+    val (d, dbr) = TestGen.encodeLocal(
+      Seq(Array("l0", "l5", "l1", "l1"), Array("l0", "l1"), Array("l1", "l0")), TestGen.toyParents)
+    val f = repro.fst.FstCompiler.compile(patex, d)
+    assert(f.numStates > 1024)
+    val want = BruteForce.mine(dbr, f, 1, d)
+    assert(want == Map(Pattern(d.fid("l0"), d.fid("l1")) -> 2L,
+                       Pattern(d.fid("l0"), d.fid("l1"), d.fid("l1")) -> 1L))
+    assert(DesqDfs.mine(dbr.map((_, 1L)), f, d, 1, d.maxFrequentFid(1)) == want)
+    assert(TestGen.dSeqLocal(dbr, d, patex, 1) == want)
+    assert(TestGen.dCandLocal(dbr, d, patex, 1) == want)
   }
 
   test("longer random sequences: D-SEQ == D-CAND == brute force on πex-style") {
